@@ -1445,9 +1445,10 @@ let campaign_bench () =
 (* ----------------------------------------------------------------------- *)
 
 (* Throughput of the typed-platform flow on the mixed big.LITTLE builtin
-   (free and under pins + isolation), plus the gate the whole extension
-   hangs on: the degenerate single-kind platform must reproduce the
-   historical identical-cores flow bit for bit under every policy. *)
+   (free and under pins + isolation), plus a degeneracy gate: the default
+   identical-cores edge (no platform, [platform_library]) and the named
+   builtin std4 must agree bit for bit under every policy. The historical
+   numbers themselves are pinned by test/goldens/tables.golden. *)
 let hetero_bench () =
   hr "Heterogeneous platforms — typed-flow throughput and degeneracy gate";
   let graph = Core.Benchmarks.load 0 in
@@ -1480,8 +1481,8 @@ let hetero_bench () =
         isolation = [ (1, 0); (2, 1) ];
       }
   in
-  (* Degeneracy gate: typed std4 vs the historical path, all five
-     policies, bit-compared on makespan/power/temperatures/cost. *)
+  (* Degeneracy gate: named std4 vs the default identical-cores edge, all
+     five policies, bit-compared on makespan/power/temperatures/cost. *)
   let std4 = Option.get (Core.Catalog.platform_named "std4") in
   let bits = Int64.bits_of_float in
   let degenerate_identical =

@@ -94,8 +94,9 @@ val version : string
 
 val schedule_platform :
   ?n_pes:int -> ?policy:Policy.t -> Graph.t -> Flow.outcome
-(** Platform-flow shortcut with the default platform library; policy
-    defaults to [Thermal_aware]. *)
+(** Platform-flow shortcut on [Catalog.std n_pes] (default 4 identical
+    cores) with the default platform library; policy defaults to
+    [Thermal_aware]. *)
 
 val schedule_cosynthesis : ?policy:Policy.t -> Graph.t -> Flow.outcome
 (** Co-synthesis shortcut with the default heterogeneous library; policy

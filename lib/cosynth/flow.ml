@@ -2,6 +2,7 @@ module Graph = Tats_taskgraph.Graph
 module Library = Tats_techlib.Library
 module Pe = Tats_techlib.Pe
 module Platform = Tats_techlib.Platform
+module Catalog = Tats_techlib.Catalog
 module Constraints = Tats_sched.Constraints
 module Block = Tats_floorplan.Block
 module Placement = Tats_floorplan.Placement
@@ -106,70 +107,56 @@ let schedule_with_policy ?weights ?constraints ~hotspot ~graph ~lib ~insts
         ~policy ()
 
 (* The library must have one WCET/WCPC column per platform kind (dense ids
-   on both sides, so a length check suffices after Library.check_kinds). *)
-let check_platform_lib ~what ~lib p =
+   on both sides, so a length check suffices after Library.check_kinds),
+   and a shared facade must have one thermal block per PE slot. *)
+let check_platform ~what ~lib ?hotspot p =
   if Array.length (Library.kinds lib) <> Platform.n_kinds p then
     invalid_arg
       (Printf.sprintf "%s: the library must have one kind per platform kind"
-         what)
+         what);
+  match hotspot with
+  | Some h when Hotspot.n_blocks h <> Platform.n_pes p ->
+      invalid_arg
+        (Printf.sprintf "%s: hotspot block count must equal the PE count" what)
+  | _ -> ()
 
-let run_platform ?(n_pes = 4) ?platform ?constraints
-    ?(package = Package.default) ?hotspot ?weights ?(leakage = true) ~graph
-    ~lib ~policy () =
-  (match platform with
-  | None ->
-      if Array.length (Library.kinds lib) <> 1 then
-        invalid_arg "Flow.run_platform: the platform library must have one kind";
-      if n_pes < 1 then invalid_arg "Flow.run_platform: need at least one PE"
-  | Some p -> check_platform_lib ~what:"Flow.run_platform" ~lib p);
-  let n_pes =
-    match platform with None -> n_pes | Some p -> Platform.n_pes p
-  in
-  (match hotspot with
-  | Some h when Hotspot.n_blocks h <> n_pes ->
-      invalid_arg "Flow.run_platform: hotspot block count must equal n_pes"
-  | _ -> ());
+let platform_hotspot ?package platform =
+  Hotspot.create ?package
+    (Grid.layout (blocks_of_insts (Platform.instances platform)))
+
+let default_platform = Catalog.std 4
+
+let run_platform ?(platform = default_platform) ?constraints ?package ?hotspot
+    ?weights ?(leakage = true) ~graph ~lib ~policy () =
+  check_platform ~what:"Flow.run_platform" ~lib ?hotspot platform;
+  let n_pes = Platform.n_pes platform in
   Trace.with_span "flow.platform"
     ~args:
       [ ("pes", Trace.Int n_pes); ("policy", Trace.Str (Policy.name policy)) ]
   @@ fun () ->
-  let insts =
-    match platform with
-    | None -> Pe.instances (List.init n_pes (fun _ -> Library.kind lib 0))
-    | Some p -> Platform.instances p
-  in
   let log = ref [] in
   let push stage detail = log := { stage; detail } :: !log in
   push Allocation
-    (match platform with
-    | None -> Printf.sprintf "fixed platform: %d identical PEs" n_pes
-    | Some p ->
-        Printf.sprintf "typed platform %s: %d PEs, %d kinds" (Platform.name p)
-          n_pes (Platform.n_kinds p));
-  let placement, hotspot =
+    (Format.asprintf "platform %a: %d PEs" Platform.pp platform n_pes);
+  let hotspot =
     match hotspot with
     | Some h ->
         push Floorplanning "fixed grid floorplan (shared warmed facade)";
-        (Hotspot.placement h, h)
+        h
     | None ->
-        let placement = Grid.layout (blocks_of_insts insts) in
         push Floorplanning "fixed grid floorplan";
-        (placement, Hotspot.create ~package placement)
+        platform_hotspot ?package platform
   in
   let schedule =
-    schedule_with_policy ?weights ?constraints ~hotspot ~graph ~lib ~insts
-      ~policy ()
+    schedule_with_policy ?weights ?constraints ~hotspot ~graph ~lib
+      ~insts:(Platform.instances platform) ~policy ()
   in
   push Scheduling
     (Printf.sprintf "policy %s, makespan %.1f / deadline %.0f" (Policy.name policy)
        schedule.Schedule.makespan (Graph.deadline graph));
   push Thermal_extraction (inquiry_detail hotspot);
-  let arch_cost =
-    match platform with
-    | None -> float_of_int n_pes *. (Library.kind lib 0).Pe.cost
-    | Some p -> Platform.cost p
-  in
-  finalize ~leakage ~lib ~hotspot ~arch_cost ~outer:1 ~log:!log schedule placement
+  finalize ~leakage ~lib ~hotspot ~arch_cost:(Platform.cost platform) ~outer:1
+    ~log:!log schedule (Hotspot.placement hotspot)
 
 type arrival_source = Release_zero | Release_sporadic of int | Release_trace
 
@@ -189,39 +176,22 @@ type online_outcome = {
    layer, golden demo, bench) goes through here so their numbers
    bit-compare equal. The platform is the exact run_platform facade;
    [hotspot] is the serving layer's engine-sharing hook, as above. *)
-let run_online ?(n_pes = 4) ?platform ?constraints
-    ?(package = Package.default) ?hotspot ?weights ?(mean_gap = 25.0) ?periods
-    ~arrivals ~graph ~lib ~policy () =
-  (match platform with
-  | None ->
-      if Array.length (Library.kinds lib) <> 1 then
-        invalid_arg "Flow.run_online: the platform library must have one kind";
-      if n_pes < 1 then invalid_arg "Flow.run_online: need at least one PE"
-  | Some p -> check_platform_lib ~what:"Flow.run_online" ~lib p);
-  let n_pes =
-    match platform with None -> n_pes | Some p -> Platform.n_pes p
-  in
-  (match hotspot with
-  | Some h when Hotspot.n_blocks h <> n_pes ->
-      invalid_arg "Flow.run_online: hotspot block count must equal n_pes"
-  | _ -> ());
+let run_online ?(platform = default_platform) ?constraints ?package ?hotspot
+    ?weights ?(mean_gap = 25.0) ?periods ~arrivals ~graph ~lib ~policy () =
+  check_platform ~what:"Flow.run_online" ~lib ?hotspot platform;
   Trace.with_span "flow.online"
     ~args:
       [
-        ("pes", Trace.Int n_pes);
+        ("pes", Trace.Int (Platform.n_pes platform));
         ("policy", Trace.Str (Online.policy_name policy));
         ("arrivals", Trace.Str (arrival_source_name arrivals));
       ]
   @@ fun () ->
-  let insts =
-    match platform with
-    | None -> Pe.instances (List.init n_pes (fun _ -> Library.kind lib 0))
-    | Some p -> Platform.instances p
-  in
+  let insts = Platform.instances platform in
   let hotspot =
     match hotspot with
     | Some h -> h
-    | None -> Hotspot.create ~package (Grid.layout (blocks_of_insts insts))
+    | None -> platform_hotspot ?package platform
   in
   let release =
     match arrivals with

@@ -6,9 +6,9 @@
     allocated architecture, the loop re-enters allocation with one more PE
     ("Meets requirement? No").
 
-    {b (b) Platform-based}: fixed architecture (four identical PEs on a
-    grid floorplan); the modified ASP activates HotSpot directly with
-    thermal inquiries. *)
+    {b (b) Platform-based}: fixed architecture (a typed {!Platform.t} on
+    a grid floorplan, by default the paper's four identical PEs); the
+    modified ASP activates HotSpot directly with thermal inquiries. *)
 
 module Graph = Tats_taskgraph.Graph
 module Library = Tats_techlib.Library
@@ -44,8 +44,14 @@ type outcome = {
   log : log_entry list;       (** stage trace, in execution order *)
 }
 
+val platform_hotspot : ?package:Package.t -> Platform.t -> Hotspot.t
+(** The platform flow's thermal facade: one block per slot with the slot
+    kind's area, on a grid layout, under [package] (default
+    {!Tats_thermal.Package.default}). {!run_platform} and {!run_online}
+    build exactly this when no [hotspot] is supplied, and the serving
+    layer's engine registry ([Tats_serve.Engines]) warms the same one. *)
+
 val run_platform :
-  ?n_pes:int ->
   ?platform:Platform.t ->
   ?constraints:Constraints.spec ->
   ?package:Package.t ->
@@ -57,30 +63,26 @@ val run_platform :
   policy:Policy.t ->
   unit ->
   outcome
-(** Figure 1(b). Without [platform], [lib] must contain exactly one kind
-    (see {!Tats_techlib.Catalog.platform_library}) and [n_pes] (default 4)
-    identical cores are instantiated — the historical path, bit-identical
-    to every earlier release.
-
-    With [platform], the typed description fixes the PE count and the
-    per-slot kinds ([n_pes] is ignored); [lib] must carry one WCET/WCPC
-    column per platform kind (see {!Tats_techlib.Catalog.library_for}),
-    the thermal blocks take each slot's kind area (per-kind power
-    densities flow into the Steady/Transient models), and the
-    architecture cost is the sum of per-slot kind costs. A single-kind
-    platform reproduces the historical path's numbers exactly.
+(** Figure 1(b) on [platform] (default [Catalog.std 4],
+    the paper's four identical cores). The platform fixes the PE count
+    and the per-slot kinds; [lib] must carry one WCET/WCPC column per
+    platform kind (see {!Tats_techlib.Catalog.library_for}; for any
+    [std n] that is {!Tats_techlib.Catalog.platform_library}), the
+    thermal blocks take each slot's kind area (per-kind power densities
+    flow into the Steady/Transient models), and the architecture cost is
+    the sum of per-slot kind costs.
 
     [constraints] (pins, isolation — see {!Tats_sched.Constraints}) is
     forwarded to the scheduler; invalid specs raise
     {!Tats_sched.Constraints.Invalid}, dead-ends
     {!Tats_sched.Constraints.Infeasible}.
 
-    [hotspot], when supplied, must wrap a placement with exactly [n_pes]
-    blocks ([Invalid_argument] otherwise); the flow then schedules against
-    that facade — and its already-warm inquiry cache — instead of building
-    a fresh grid layout, and [package] is ignored. This is the serving
-    layer's engine-sharing hook ([Tats_serve.Engines]): cache hits are
-    bit-exact copies of fresh solves, so the outcome's numbers are
+    [hotspot], when supplied, must wrap a placement with one block per
+    platform PE ([Invalid_argument] otherwise); the flow then schedules
+    against that facade — and its already-warm inquiry cache — instead of
+    building {!platform_hotspot}, and [package] is ignored. This is the
+    serving layer's engine-sharing hook ([Tats_serve.Engines]): cache hits
+    are bit-exact copies of fresh solves, so the outcome's numbers are
     identical to a cold run; only the [inquiry] counters (cumulative over
     the facade's lifetime) differ. *)
 
@@ -104,7 +106,6 @@ type online_outcome = {
 }
 
 val run_online :
-  ?n_pes:int ->
   ?platform:Platform.t ->
   ?constraints:Constraints.spec ->
   ?package:Package.t ->

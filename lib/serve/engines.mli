@@ -13,9 +13,12 @@
     [BENCH_serve.json] enforces.
 
     A fingerprint identifies everything the engine's numbers depend on:
-    currently ["platform:<n_pes>"] — the fixed grid of identical catalog
-    PEs that {!Tats_cosynth.Flow.run_platform} would build for that
-    width, with the default package. Co-synthesis requests are {e not}
+    the platform's name (served platforms come from the catalog, whose
+    names identify their geometry), keying the
+    {!Tats_cosynth.Flow.platform_hotspot} facade under the default
+    package. An [n_pes]-wide request decodes to
+    [Catalog.std n_pes], so [n_pes = 4] and the named
+    ["std4"] share one engine. Co-synthesis requests are {e not}
     served from the registry: their placement is part of the answer, so
     each builds its own facade (see DESIGN.md §11, engine-sharing
     lifecycle).
@@ -32,18 +35,13 @@ val create : unit -> t
 (** An empty registry. Engines are built lazily, on first use of each
     fingerprint, under the registry mutex. *)
 
-val platform : t -> n_pes:int -> Tats_thermal.Hotspot.t
-(** The shared facade for the [n_pes]-wide platform: a grid layout of
-    identical catalog PEs with the default package — numerically
-    identical to the facade a fresh
+val facade : t -> Tats_techlib.Platform.t -> Tats_thermal.Hotspot.t
+(** The shared facade for a platform, fingerprinted by its name:
+    numerically identical to the facade a fresh
     {!Tats_cosynth.Flow.run_platform} call would create. *)
 
-val typed_platform : t -> Tats_techlib.Platform.t -> Tats_thermal.Hotspot.t
-(** The shared facade for a typed (possibly heterogeneous) platform:
-    one block per slot with the slot kind's area, fingerprinted
-    ["platform-name:<name>"] — numerically identical to the facade
-    {!Tats_cosynth.Flow.run_platform} builds for that platform. Builtin
-    platforms are immutable, so the name identifies the geometry. *)
+val platform : t -> n_pes:int -> Tats_thermal.Hotspot.t
+(** [facade t (Catalog.std n_pes)]: the [n_pes] identical-cores edge. *)
 
 val count : t -> int
 (** Distinct fingerprints currently warmed. *)

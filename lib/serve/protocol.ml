@@ -115,11 +115,32 @@ let decode_platform obj =
               (Printf.sprintf "unknown platform %S (want %s)" name
                  (String.concat "|" (Catalog.platform_names ()))))
 
+(* A non-negative integer that converts to [int] exactly: fractions and
+   out-of-range magnitudes are rejected, never truncated. *)
 let nat_field item name =
   match Option.bind (Json.mem name item) Json.num with
-  | Some f when Float.is_finite f && f >= 0.0 && Float.is_integer f ->
+  | Some f when Float.is_integer f && f >= 0.0 && f < 0x1p62 ->
       Some (int_of_float f)
   | _ -> None
+
+let int_field obj name ~default =
+  match Json.mem name obj with
+  | None -> Ok default
+  | Some _ -> (
+      match nat_field obj name with
+      | Some n -> Ok n
+      | None -> field_error name "must be a non-negative integer")
+
+let max_pes = 64
+
+(* The one wire decoder for a platform width. Every distinct width warms
+   its own engine for the server's lifetime, so all three request kinds
+   that carry one share this bound. *)
+let n_pes_field obj ~default =
+  let* n = int_field obj "n_pes" ~default in
+  if n < 1 || n > max_pes then
+    field_error "n_pes" (Printf.sprintf "must be in [1, %d]" max_pes)
+  else Ok n
 
 let decode_pins obj =
   match Json.mem "pins" obj with
@@ -218,25 +239,17 @@ let decode_schedule obj =
         field_error "arch"
           (Printf.sprintf "unknown architecture %S (want platform|cosynth)" other)
   in
-  let* n_pes_f = req_get obj "n_pes" Json.get_num ~default:4.0 ~what:"must be a number" in
-  let n_pes = int_of_float n_pes_f in
-  if n_pes < 1 || n_pes > 64 then field_error "n_pes" "must be in [1, 64]"
-  else
-    let* platform = decode_platform obj in
-    let* pins = decode_pins obj in
-    let* isolation = decode_isolation obj in
-    if arch = Cosynth && (platform <> None || pins <> [] || isolation <> [])
-    then
-      field_error "arch"
-        "platform/pins/isolation require the platform architecture"
-    else Ok { bench; policy; arch; n_pes; platform; pins; isolation }
+  let* n_pes = n_pes_field obj ~default:4 in
+  let* platform = decode_platform obj in
+  let* pins = decode_pins obj in
+  let* isolation = decode_isolation obj in
+  if arch = Cosynth && (platform <> None || pins <> [] || isolation <> []) then
+    field_error "arch" "platform/pins/isolation require the platform architecture"
+  else Ok { bench; policy; arch; n_pes; platform; pins; isolation }
 
 let decode_transient obj =
   let* sched = decode_schedule obj in
-  let* periods_f =
-    req_get obj "periods" Json.get_num ~default:50.0 ~what:"must be a number"
-  in
-  let periods = int_of_float periods_f in
+  let* periods = int_field obj "periods" ~default:50 in
   if periods < 2 then field_error "periods" "must be >= 2"
   else
     let* dt =
@@ -267,12 +280,7 @@ let decode_inquiry obj =
         | _ -> field_error "power" "must be a non-empty array of finite numbers")
     | None -> field_error "power" "required"
   in
-  let* n_pes_f =
-    req_get obj "n_pes" Json.get_num
-      ~default:(float_of_int (Array.length power))
-      ~what:"must be a number"
-  in
-  let n_pes = int_of_float n_pes_f in
+  let* n_pes = n_pes_field obj ~default:(Array.length power) in
   if n_pes <> Array.length power then
     field_error "n_pes" "must equal the length of \"power\""
   else
@@ -327,37 +335,29 @@ let decode_online obj =
         field_error "arrivals"
           (Printf.sprintf "unknown arrival stream %S (want zero|sporadic|trace)" other)
   in
-  let* seed_f = req_get obj "seed" Json.get_num ~default:1.0 ~what:"must be a number" in
-  let o_seed = int_of_float seed_f in
-  if o_seed < 0 then field_error "seed" "must be non-negative"
+  let* o_seed = int_field obj "seed" ~default:1 in
+  let* o_mean_gap =
+    req_get obj "mean_gap" Json.get_num ~default:25.0 ~what:"must be a number"
+  in
+  if not (o_mean_gap > 0.0 && Float.is_finite o_mean_gap) then
+    field_error "mean_gap" "must be a positive number"
   else
-    let* o_mean_gap =
-      req_get obj "mean_gap" Json.get_num ~default:25.0 ~what:"must be a number"
-    in
-    if not (o_mean_gap > 0.0 && Float.is_finite o_mean_gap) then
-      field_error "mean_gap" "must be a positive number"
-    else
-      let* n_pes_f =
-        req_get obj "n_pes" Json.get_num ~default:4.0 ~what:"must be a number"
-      in
-      let o_n_pes = int_of_float n_pes_f in
-      if o_n_pes < 1 || o_n_pes > 64 then field_error "n_pes" "must be in [1, 64]"
-      else
-        let* o_platform = decode_platform obj in
-        let* o_pins = decode_pins obj in
-        let* o_isolation = decode_isolation obj in
-        Ok
-          {
-            o_bench;
-            o_n_pes;
-            o_policy;
-            o_arrivals;
-            o_seed;
-            o_mean_gap;
-            o_platform;
-            o_pins;
-            o_isolation;
-          }
+    let* o_n_pes = n_pes_field obj ~default:4 in
+    let* o_platform = decode_platform obj in
+    let* o_pins = decode_pins obj in
+    let* o_isolation = decode_isolation obj in
+    Ok
+      {
+        o_bench;
+        o_n_pes;
+        o_policy;
+        o_arrivals;
+        o_seed;
+        o_mean_gap;
+        o_platform;
+        o_pins;
+        o_isolation;
+      }
 
 let request_of_json json =
   match json with

@@ -9,24 +9,28 @@
                 | "transient" | "online" | "sleep" | "shutdown"
     schedule   := "bench": "Bm1".."Bm4", ["policy": POLICY = "thermal"],
                   ["arch": "platform" | "cosynth" = "platform"],
-                  ["n_pes": int = 4], HETERO
+                  ["n_pes": PES = 4], HETERO
     HETERO     := ["platform": "std4" | "biglittle4" | "mixed6"],
                   ["pins": [{"task": int, "pe": int}
                            |{"task": int, "kind": int}...]],
                   ["isolation": [{"task": int, "class": int}...]]
                   (platform architecture only)
     inquiry    := "power": [num...], ["idle": [num...] = zeros],
-                  ["n_pes": int = length of power]
+                  ["n_pes": PES = length of power]
     transient  := schedule params plus ["periods": int = 50], ["dt": num],
                   ["time_unit": num = 1e-3], ["exact": bool = false]
     online     := "bench": "Bm1".."Bm4", ["policy": OPOLICY = "thermal"],
                   ["trigger": num, reactive only],
                   ["arrivals": "zero" | "sporadic" | "trace" = "sporadic"],
                   ["seed": int = 1], ["mean_gap": num = 25],
-                  ["n_pes": int = 4], HETERO
+                  ["n_pes": PES = 4], HETERO
     sleep      := ["ms": num = 0]          (testing / load-generation aid)
+    PES        := int in [1, 64]; a width without "platform" means
+                  Catalog.std n_pes, n_pes identical cores
     POLICY     := "baseline" | "h1" | "h2" | "h3" | "thermal"
     OPOLICY    := POLICY | "reactive"
+    int        := a non-negative integral number; fractions and
+                  magnitudes beyond the native int are rejected
     v}
 
     Replies are [{"ok": true, "kind": ..., "id": <echoed>, ...payload}] or

@@ -27,8 +27,11 @@ let platform_kind () =
   Pe.make_kind ~kind_id:0 ~name:"std-core" ~area:(mm2 16.0) ~cost:100.0
     ~speed:1.0 ~power_scale:8.0 ~idle_power:0.6 ()
 
-let platform_instances n =
-  Pe.instances (List.init n (fun _ -> platform_kind ()))
+let std n_pes =
+  Platform.homogeneous ~name:(Printf.sprintf "std%d" n_pes)
+    ~kind:(platform_kind ()) ~n_pes
+
+let platform_instances n = Platform.instances (std n)
 
 (* Builtin typed platforms for the heterogeneous platform flow. Kind ids
    are dense per platform (a Platform.make requirement), so the big/LITTLE
@@ -44,9 +47,9 @@ let little_kind ~kind_id =
 
 let builtin_platforms () =
   [
-    (* The degenerate case: the paper's four identical standard cores as a
-       typed platform. Must reproduce Tables 1-3 byte for byte. *)
-    Platform.homogeneous ~name:"std4" ~kind:(platform_kind ()) ~n_pes:4;
+    (* The paper's four identical standard cores: the default platform,
+       behind Tables 1-3. *)
+    std 4;
     (* ARM big.LITTLE-style: two fast/hot cores plus two slow/cool ones. *)
     Platform.make ~name:"biglittle4"
       ~kinds:[ big_kind ~kind_id:0; little_kind ~kind_id:1 ]
@@ -77,16 +80,10 @@ let default_library () =
     ~n_task_types:Tats_taskgraph.Benchmarks.n_task_types
     ~kinds:(heterogeneous ()) ()
 
-let platform_library () =
-  Library.generate ~seed:library_seed
-    ~n_task_types:Tats_taskgraph.Benchmarks.n_task_types
-    ~kinds:[ platform_kind () ] ()
-
 let library_for platform =
-  (* Same seed and task types as [platform_library]; for the single
-     standard-kind platform the RNG draw sequence is identical, so the
-     generated tables are bit-identical to [platform_library ()]. *)
   Library.generate ~seed:library_seed
     ~n_task_types:Tats_taskgraph.Benchmarks.n_task_types
     ~kinds:(Array.to_list (Platform.kinds platform))
     ()
+
+let platform_library () = library_for (std 4)

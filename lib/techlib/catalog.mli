@@ -2,8 +2,8 @@
 
     Co-synthesis draws from a heterogeneous catalogue (low-power, standard
     and high-performance cores plus a DSP and an accelerator); the
-    platform-based architecture uses four identical standard cores, matching
-    the paper's "four identical PEs". *)
+    platform-based architecture is a typed {!Platform.t}, by default
+    [std 4] — the paper's "four identical PEs". *)
 
 val heterogeneous : unit -> Pe.kind list
 (** Five kinds; the DSP and accelerator are specialized for a subset of the
@@ -12,15 +12,21 @@ val heterogeneous : unit -> Pe.kind list
 val platform_kind : unit -> Pe.kind
 (** The standard core used (x4) by the platform-based architecture. *)
 
+val std : int -> Platform.t
+(** [std n] — [n] identical standard cores, named ["std<n>"]: the
+    platform every "[n_pes] identical cores" input (CLI flag, wire field,
+    campaign arch) decodes to. Raises [Invalid_argument] when [n < 1]. *)
+
 val platform_instances : int -> Pe.inst array
-(** [platform_instances n] — [n] identical standard cores. *)
+(** [platform_instances n] is [Platform.instances (std n)]. *)
 
 val default_library : unit -> Library.t
 (** The library shared by all paper experiments: heterogeneous catalogue,
     {!Tats_taskgraph.Benchmarks.n_task_types} task types, fixed seed. *)
 
 val platform_library : unit -> Library.t
-(** Same task types and seed, restricted to the platform kind (kind_id 0). *)
+(** [library_for (std 4)]: same task types and seed, restricted to the
+    platform kind (kind_id 0). Every [std n] shares this library. *)
 
 (** {1 Typed builtin platforms} *)
 
@@ -28,8 +34,8 @@ val builtin_platforms : unit -> Platform.t list
 (** The named platforms accepted by the CLI, the server protocol and the
     campaign runner:
 
-    - ["std4"] — four identical standard cores (the degenerate case; its
-      library is bit-identical to {!platform_library}).
+    - ["std4"] — [std 4], four identical standard cores (the default
+      platform; its library is {!platform_library}).
     - ["biglittle4"] — two big cores (fast, hot) + two LITTLE cores
       (slow, cool), ARM big.LITTLE style.
     - ["mixed6"] — one big, two standard, three LITTLE cores. *)
@@ -42,5 +48,4 @@ val platform_names : unit -> string list
 
 val library_for : Platform.t -> Library.t
 (** The technology library for a typed platform: the shared seed and task
-    types, with one column per platform kind. For ["std4"] this is
-    bit-identical to {!platform_library}. *)
+    types, with one column per platform kind. *)

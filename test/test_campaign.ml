@@ -346,7 +346,7 @@ let test_run_cell_matches_direct_flow () =
   in
   let r = Campaign.run_cell cell in
   let outcome =
-    Flow.run_platform ~n_pes:2
+    Flow.run_platform ~platform:(Catalog.std 2)
       ~package:{ Package.default with Package.ambient = 55.0 }
       ~graph:(Benchmarks.load 0)
       ~lib:(Catalog.platform_library ())

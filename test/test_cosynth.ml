@@ -135,7 +135,10 @@ let test_platform_flow_rejects_multikind_library () =
 
 let test_platform_flow_pe_count () =
   let graph = Benchmarks.load 0 in
-  let o = Flow.run_platform ~n_pes:6 ~graph ~lib:platform ~policy:Policy.Baseline () in
+  let o =
+    Flow.run_platform ~platform:(Catalog.std 6) ~graph ~lib:platform
+      ~policy:Policy.Baseline ()
+  in
   Alcotest.(check int) "six PEs" 6 (Schedule.n_pes o.Flow.schedule);
   Alcotest.(check int) "six blocks" 6 (Array.length o.Flow.placement.Placement.rects)
 

@@ -1,19 +1,23 @@
 (* Heterogeneous-platform battery.
 
-   The typed platform flow claims to be a *strict generalization* of the
-   historical identical-cores path. This suite holds it to that claim from
-   three sides:
+   Typed platforms are the only platform representation; "n identical
+   cores" is the single-kind case [Catalog.std n]. This suite checks the
+   flow from three sides:
 
-   - Differential: on the degenerate single-kind platform (std4) every
-     policy, pool size, scheduler (list / HEFT) and the online event loop
-     must reproduce the homogeneous path bit for bit — schedules entry by
-     entry, metrics at the Int64 level.
+   - Differential: the default identical-cores edge (no platform,
+     [platform_library], [platform_instances 4]) and the named builtin
+     std4 must agree bit for bit under every policy, pool size, scheduler
+     (list / HEFT) and the online event loop — schedules entry by entry,
+     metrics at the Int64 level. The historical numbers themselves are
+     pinned by test/goldens/tables.golden, captured before typed
+     platforms existed.
    - Properties (seeded): on genuinely mixed platforms, pins are honored
      and isolation classes never co-locate, checked post hoc with
      [Constraints.violations] over generated DAGs.
    - Rejection: contradictory specs fail up front with [Constraints.Invalid]
      and a descriptive message; runtime dead-ends raise
-     [Constraints.Infeasible] naming the scheduler.
+     [Constraints.Infeasible] naming the scheduler; the CLI's platform edge
+     rejects an empty platform with a usage error.
 
    Plus the campaign "hetero" builtin (expansion, labels, round-trip,
    validation), since the campaign layer is how these cells enter CI. *)
@@ -68,11 +72,11 @@ let schedules_identical what (a : Schedule.t) (b : Schedule.t) =
 let assignment (s : Schedule.t) =
   Array.map (fun (e : Schedule.entry) -> e.Schedule.pe) s.Schedule.entries
 
-(* --- differential: the degenerate platform is the homogeneous path ------- *)
+(* --- differential: the named std4 equals the identical-cores edge ------- *)
 
 let test_degenerate_library_identical () =
-  (* library_for std4 must draw the same RNG stream as platform_library:
-     same task types, same WCET/WCPC tables on the single kind. *)
+  (* library_for std4 and platform_library: same task types, same
+     WCET/WCPC tables on the single kind. *)
   let classic = Catalog.platform_library () in
   let typed = Catalog.library_for (std4 ()) in
   Alcotest.(check int)
@@ -90,8 +94,8 @@ let test_degenerate_library_identical () =
   done
 
 let test_degenerate_flow_bit_identity () =
-  (* Every policy, benches Bm1/Bm2, pool jobs 1 and 4: the typed std4
-     platform vs the historical identical-cores flow, compared on the full
+  (* Every policy, benches Bm1/Bm2, pool jobs 1 and 4: the named std4
+     platform vs the default identical-cores edge, compared on the full
      schedule and every reported metric. *)
   let platform = std4 () in
   List.iter
@@ -437,6 +441,22 @@ let test_campaign_hetero_builtin () =
   | _ -> Alcotest.fail "expected Invalid_argument for cosynth constraints"
   | exception Invalid_argument _ -> ()
 
+let test_cli_rejects_empty_platform () =
+  (* Through the real binary: a zero-width platform is a usage error
+     ([tats: ...], exit 2), not an uncaught exception. *)
+  let out = "hetero_cli_npes0.txt" in
+  let rc =
+    Sys.command
+      (Printf.sprintf "../bin/tats.exe online -b Bm1 --n-pes 0 >%s 2>&1" out)
+  in
+  Alcotest.(check int) "tats online --n-pes 0 exits 2" 2 rc;
+  let msg = In_channel.with_open_text out In_channel.input_all in
+  Sys.remove out;
+  Alcotest.(check bool)
+    (Printf.sprintf "%S is a tats: usage message" msg)
+    true
+    (String.starts_with ~prefix:"tats: --n-pes" msg)
+
 let () =
   Alcotest.run "hetero"
     [
@@ -464,6 +484,8 @@ let () =
             test_invalid_specs_rejected;
           Alcotest.test_case "infeasible combo names scheduler" `Quick
             test_infeasible_combo_named;
+          Alcotest.test_case "CLI rejects --n-pes 0" `Quick
+            test_cli_rejects_empty_platform;
         ] );
       ( "campaign",
         [

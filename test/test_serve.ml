@@ -398,6 +398,14 @@ let test_protocol_rejects () =
       {|{"kind": "schedule", "isolation": "none"}|};
       {|{"kind": "online", "platform": "warp9"}|};
       {|{"kind": "online", "pins": [{"pe": 1}]}|};
+      {|{"kind": "schedule", "n_pes": 4.9}|};
+      {|{"kind": "transient", "periods": 2.5}|};
+      {|{"kind": "online", "seed": 1e300}|};
+      {|{"kind": "online", "seed": 2.5}|};
+      {|{"kind": "online", "n_pes": 4.9}|};
+      {|{"kind": "inquiry", "power": [1.0], "n_pes": 1.5}|};
+      Printf.sprintf {|{"kind": "inquiry", "power": [%s]}|}
+        (String.concat ", " (List.init 65 (fun _ -> "1.0")));
     ]
   in
   List.iter
@@ -677,7 +685,7 @@ let test_online_bit_identity () =
 
 let test_served_hetero_schedule () =
   let path = "t_serve_hetero.sock" in
-  with_server path @@ fun _server ->
+  with_server path @@ fun server ->
   Client.with_client path @@ fun c ->
   (* A heterogeneous request served through the engine registry must be
      bitwise the library's own answer. *)
@@ -713,6 +721,45 @@ let test_served_hetero_schedule () =
   check_bits_arr "hetero pe_powers"
     (get_farr reply "pe_powers")
     o.Flow.report.Metrics.pe_powers;
+  (* An n_pes:4 request and a platform:"std4" request decode to the same
+     platform, so they share one warm engine and both answer bitwise the
+     one-shot default flow; only the named one echoes its platform. *)
+  let ask ?platform () =
+    ok_or_fail "std4 schedule"
+      (Client.request c
+         (Protocol.request
+            (Protocol.Schedule
+               (sched_params ?platform 0 "thermal" Protocol.Platform 4))))
+  in
+  let by_width = ask () and by_name = ask ~platform:"std4" () in
+  Alcotest.(check (list string))
+    "one engine per platform" [ "biglittle4"; "std4" ]
+    (Engines.fingerprints (Server.engines server));
+  Alcotest.(check bool)
+    "n_pes reply has no platform field" true
+    (Json.mem "platform" by_width = None);
+  Alcotest.(check bool)
+    "named reply echoes std4" true
+    (Json.mem "platform" by_name = Some (Json.Str "std4"));
+  let one_shot =
+    Flow.run_platform ~graph ~lib:(Catalog.platform_library ())
+      ~policy:(policy "thermal") ()
+  in
+  List.iter
+    (fun (what, r) ->
+      check_bits (what ^ " makespan") (get_num r "makespan")
+        one_shot.Flow.schedule.Schedule.makespan;
+      check_bits (what ^ " total_power") (get_num r "total_power")
+        one_shot.Flow.row.Metrics.total_power;
+      check_bits (what ^ " max_temp") (get_num r "max_temp")
+        one_shot.Flow.row.Metrics.max_temp;
+      check_bits (what ^ " avg_temp") (get_num r "avg_temp")
+        one_shot.Flow.row.Metrics.avg_temp;
+      check_bits (what ^ " arch_cost") (get_num r "arch_cost")
+        one_shot.Flow.arch_cost;
+      check_bits_arr (what ^ " block_temps") (get_farr r "block_temps")
+        one_shot.Flow.report.Metrics.block_temps)
+    [ ("n_pes:4", by_width); ("std4", by_name) ];
   (* Statically impossible constraints are the client's fault: a clean
      bad_request naming the problem, never an internal error or a crash. *)
   let infeasible =

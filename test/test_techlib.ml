@@ -5,6 +5,7 @@ module Pe = Tats_techlib.Pe
 module Comm = Tats_techlib.Comm
 module Library = Tats_techlib.Library
 module Catalog = Tats_techlib.Catalog
+module Platform = Tats_techlib.Platform
 module Benchmarks = Tats_taskgraph.Benchmarks
 
 let kind ?(id = 0) ?(speed = 1.0) ?(power = 5.0) ?(cost = 100.0) ?spec () =
@@ -247,7 +248,13 @@ let test_platform_instances () =
   Array.iter
     (fun (i : Pe.inst) ->
       Alcotest.(check string) "all std-core" "std-core" i.Pe.kind.Pe.kind_name)
-    insts
+    insts;
+  (* The builtin std4 is the identical-cores platform the n_pes edges
+     decode to, not a look-alike. *)
+  Alcotest.(check bool)
+    "std 4 = builtin std4" true
+    (Some (Catalog.std 4) = Catalog.platform_named "std4");
+  Alcotest.(check string) "std 6 name" "std6" (Platform.name (Catalog.std 6))
 
 let prop_generated_wcet_in_plausible_range =
   QCheck.Test.make ~name:"generated WCETs within speed-scaled bounds" ~count:50
